@@ -148,6 +148,9 @@ struct SystemRun {
     /// restore (when started in prelink mode) followed by every mid-run
     /// `prelink` schedule event.
     prelink: Vec<RestoreOutcome>,
+    /// System-side fold of the finished run (see `tests::side_fold`).
+    #[cfg(test)]
+    side_fold: u64,
 }
 
 /// Converts `(kind, counters-at-event)` snapshots into event windows
@@ -412,11 +415,19 @@ fn run_system(
         sys.image(),
     );
     let counters = sys.counters();
+    #[cfg(test)]
+    let side_fold = tests::side_fold(
+        std::slice::from_ref(&counters),
+        sys.machine().cycle_breakdown(),
+        &sys.take_resolution_telemetry(),
+    );
     Ok(SystemRun {
         digest,
         events: close_windows(snaps, &counters),
         counters,
         prelink,
+        #[cfg(test)]
+        side_fold,
     })
 }
 
@@ -923,6 +934,9 @@ struct MultiSystemRun {
     /// Prelink restore outcomes: per-process boot restores (when
     /// started in prelink mode) followed by mid-run `prelink` events.
     prelink: Vec<RestoreOutcome>,
+    /// System-side fold of the finished run (see `tests::side_fold`).
+    #[cfg(test)]
+    side_fold: u64,
 }
 
 fn multi_machine_config(
@@ -1271,10 +1285,16 @@ fn replay_multi_schedule(
         })
         .collect();
     let counters = mps.counters();
-    let per_core = (0..mps.core_count()).map(|c| mps.counters_for(c)).collect();
+    let per_core: Vec<PerfCounters> = (0..mps.core_count()).map(|c| mps.counters_for(c)).collect();
     let thread_switches_per_core = (0..mps.core_count())
         .map(|c| mps.thread_switches_of(c))
         .collect();
+    #[cfg(test)]
+    let side_fold = tests::side_fold(
+        &[&[counters][..], &per_core].concat(),
+        mps.machine().cycle_breakdown(),
+        &mps.take_resolution_telemetry(),
+    );
     Ok(MultiSystemRun {
         digests,
         events: close_windows(snaps, &counters),
@@ -1283,6 +1303,8 @@ fn replay_multi_schedule(
         thread_switches: mps.thread_switches(),
         thread_switches_per_core,
         prelink,
+        #[cfg(test)]
+        side_fold,
     })
 }
 
@@ -1965,6 +1987,151 @@ pub fn run_fleet_smoke(seed_start: u64, cases: u64, jobs: usize) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynlink_core::ResolutionRecord;
+    use dynlink_workloads::repro::{parse_corpus_file, CorpusCase};
+
+    /// FNV fold of everything the system side reports about a finished
+    /// run beyond its architectural state: the full counter sets, the
+    /// cycle breakdown and the drained resolution telemetry, in order.
+    pub(super) fn side_fold(
+        counters: &[PerfCounters],
+        cycles: impl std::fmt::Debug,
+        telemetry: &[ResolutionRecord],
+    ) -> u64 {
+        fold_str(FNV_OFFSET, &format!("{counters:?}{cycles:?}{telemetry:?}"))
+    }
+
+    /// The checked-in corpus witnesses, parsed (all clean with every
+    /// mechanism on; they carry the `prelink` and churn events the
+    /// generators never emit).
+    fn corpus() -> Vec<CorpusCase> {
+        [
+            include_str!("../../../corpus/bloom_asid_salt_hazard.txt"),
+            include_str!("../../../corpus/cross_core_stale_rebind.txt"),
+            include_str!("../../../corpus/cross_switch_stale_rebind.txt"),
+            include_str!("../../../corpus/drop_invalidate_rebind.txt"),
+            include_str!("../../../corpus/stale_prelink_restore.txt"),
+            include_str!("../../../corpus/stale_skip_unmapped_page.txt"),
+            include_str!("../../../corpus/tenant_churn_stale_skip.txt"),
+        ]
+        .iter()
+        .map(|text| parse_corpus_file(text).unwrap())
+        .collect()
+    }
+
+    fn single_fold(mut hash: u64, case: &FuzzCase, boot: bool) -> u64 {
+        for &flavor in &FLAVORS {
+            let snapshot = boot.then(|| {
+                ResolutionSnapshot::decode(&warm_snapshot_bytes(case, flavor).unwrap()).unwrap()
+            });
+            for &accel in &ACCELS {
+                let run = run_system(
+                    case,
+                    flavor,
+                    accel,
+                    Injection::None,
+                    true,
+                    true,
+                    true,
+                    true,
+                    snapshot.as_ref(),
+                )
+                .unwrap();
+                hash = fold64(hash, run.side_fold);
+            }
+        }
+        hash
+    }
+
+    fn multi_fold(mut hash: u64, case: &MultiFuzzCase, boot: bool) -> u64 {
+        for &flavor in &FLAVORS {
+            let snapshots: Option<Vec<ResolutionSnapshot>> = boot.then(|| {
+                warm_multi_snapshot_bytes(case, flavor)
+                    .unwrap()
+                    .iter()
+                    .map(|b| ResolutionSnapshot::decode(b).unwrap())
+                    .collect()
+            });
+            for &policy in &POLICIES {
+                for &accel in &ACCELS {
+                    let run = run_multi_system(
+                        case,
+                        flavor,
+                        accel,
+                        policy,
+                        Injection::None,
+                        true,
+                        true,
+                        true,
+                        true,
+                        snapshots.as_deref(),
+                    )
+                    .unwrap();
+                    hash = fold64(hash, run.side_fold);
+                }
+            }
+        }
+        hash
+    }
+
+    /// System-side golden folds. The oracle digests pinned elsewhere
+    /// only see architectural state, so a change that stays
+    /// architecturally correct (a different resolver count, ABTB flush
+    /// count, cycle count or telemetry order) would pass every other
+    /// check. These folds pin everything the system side reports for
+    /// small slices of the single matrix (plain, demand and boot-prelink
+    /// cases), the multi matrix (plain, demand, one 2-core case, one
+    /// boot-prelink case), the corpus witnesses and fleet-smoke.
+    #[test]
+    fn system_side_golden_folds() {
+        let mut single = FNV_OFFSET;
+        for seed in 0..40 {
+            let mut case = FuzzCase::generate(seed);
+            single = single_fold(single, &case, seed < 8);
+            case.enable_demand(seed);
+            single = single_fold(single, &case, false);
+        }
+        let mut multi = FNV_OFFSET;
+        for seed in 0..12 {
+            let mut case = MultiFuzzCase::generate(seed);
+            multi = multi_fold(multi, &case, seed < 2);
+            if seed < 3 {
+                let mut two_cores = case.clone();
+                two_cores.cores = 2;
+                multi = multi_fold(multi, &two_cores, false);
+            }
+            case.enable_demand(seed);
+            multi = multi_fold(multi, &case, false);
+        }
+        for case in corpus() {
+            match case {
+                CorpusCase::Single(case) => single = single_fold(single, &case, false),
+                CorpusCase::Multi(case) => multi = multi_fold(multi, &case, false),
+            }
+        }
+        let mut fleet = FNV_OFFSET;
+        for seed in 0..4 {
+            let case = MultiFuzzCase::generate_fleet(seed);
+            for &flavor in &FLAVORS {
+                for &policy in &POLICIES {
+                    for &accel in &ACCELS {
+                        let run = run_fleet_system(&case, flavor, accel, policy, Injection::None)
+                            .unwrap();
+                        fleet = fold64(fleet, run.side_fold);
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            [single, multi, fleet],
+            [
+                0xca3b_8fda_a8f9_f2b3,
+                0x024a_9ac1_3680_4bae,
+                0x71ed_ea36_2249_c702
+            ],
+            "system-side folds moved: {single:#018x} {multi:#018x} {fleet:#018x}"
+        );
+    }
 
     #[test]
     fn clean_cases_produce_no_failures() {

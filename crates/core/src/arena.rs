@@ -11,20 +11,19 @@
 //! `code_uid`, so the machine's predecode and superblock caches hold
 //! one copy of the class's text no matter how many tenants run it.
 //!
-//! What stays *per tenant*: the live [`ResolutionTable`] (lazy binding
-//! and `dlopen`/`dlclose` churn are private), the stack mapping, the
-//! ASID, and the GOT pages the moment a tenant writes one (COW).
+//! What stays *per tenant*: its [`Process`] (the live resolution table
+//! and prelink cache — lazy binding and `dlclose` churn are private),
+//! the stack mapping, the ASID, and the GOT pages the moment a tenant
+//! writes one (COW).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dynlink_cpu::ProcessContext;
-use dynlink_linker::{LinkMode, LinkOptions, Loader, ModuleSpec};
+use dynlink_linker::{LinkOptions, Loader, ModuleSpec};
 use dynlink_mem::layout::STACK_TOP;
 use dynlink_mem::AddressSpace;
-use dynlink_trace::{ResolutionKind, TelemetryWriter};
 
-use crate::multi::BootParts;
+use crate::process::Process;
 use crate::SystemError;
 
 /// A program template plus how many tenant processes run it.
@@ -43,8 +42,8 @@ pub struct TenantClass {
     pub tenants: usize,
 }
 
-/// Builder that turns [`TenantClass`] templates into the per-process
-/// [`BootParts`] a `MultiProcessSystem` boots from.
+/// Builder that turns [`TenantClass`] templates into the parked
+/// contexts and [`Process`]es a `MultiProcessSystem` boots from.
 pub(crate) struct ProcessArena;
 
 impl ProcessArena {
@@ -55,18 +54,13 @@ impl ProcessArena {
     pub(crate) fn build(
         classes: &[TenantClass],
         stack_bytes: u64,
-    ) -> Result<BootParts, SystemError> {
+    ) -> Result<(Vec<ProcessContext>, Vec<Process>), SystemError> {
         if classes.is_empty() || classes.iter().any(|c| c.tenants == 0) {
             return Err(SystemError::NoModules);
         }
         let n: usize = classes.iter().map(|c| c.tenants).sum();
         let mut contexts = Vec::with_capacity(n);
-        let mut images = Vec::with_capacity(n);
-        let mut tables = Vec::with_capacity(n);
-        let mut module_refs: HashMap<String, usize> = HashMap::new();
-        let mut demand = Vec::with_capacity(n);
-        let mut hw_levels = Vec::with_capacity(n);
-        let mut eager_telemetry = TelemetryWriter::new();
+        let mut procs = Vec::with_capacity(n);
         let mut next = 0u64;
         for class in classes {
             // The template space never runs; ASID 0 matches the boot
@@ -77,41 +71,15 @@ impl ProcessArena {
             for _ in 0..class.tenants {
                 next += 1;
                 let space = template.fork_shared_code(next);
-                let ctx = ProcessContext::new(space, image.entry(), STACK_TOP, stack_bytes)?;
-                for m in image.modules() {
-                    *module_refs.entry(m.name.clone()).or_insert(0) += 1;
-                }
-                demand.push(
-                    class.options.demand_paging && class.options.mode == LinkMode::DynamicLazy,
-                );
-                hw_levels.push(class.options.hw_level);
-                if class.options.mode == LinkMode::DynamicNow {
-                    // Load-time binds: telemetry only, never the
-                    // prelink cache (mirrors the per-process loop).
-                    for b in image.resolution().iter() {
-                        eager_telemetry.record(
-                            b.module,
-                            b.import,
-                            ResolutionKind::Eager,
-                            b.got_slot,
-                            b.target,
-                            0,
-                        );
-                    }
-                }
-                tables.push(image.resolution().clone());
-                images.push(Arc::clone(&image));
-                contexts.push(ctx);
+                contexts.push(ProcessContext::new(
+                    space,
+                    image.entry(),
+                    STACK_TOP,
+                    stack_bytes,
+                )?);
+                procs.push(Process::new(Arc::clone(&image), class.options));
             }
         }
-        Ok(BootParts {
-            contexts,
-            images,
-            tables,
-            module_refs,
-            demand,
-            hw_levels,
-            eager_telemetry,
-        })
+        Ok((contexts, procs))
     }
 }

@@ -6,6 +6,13 @@
 //! ABTB hardware (`dynlink-cpu`) and the copy-on-write memory model
 //! (`dynlink-mem`) behind one builder API.
 //!
+//! [`MultiProcessSystem`] time-shares several processes on one machine.
+//! Both system types hold their per-process state — image, live
+//! resolution table, prelink cache, GC remnants — in one crate-private
+//! runtime type, and delegate every module event (unbind, rebind,
+//! `dlclose`, reopen, page eviction, snapshot capture and restore) to
+//! it, so each event and the lazy resolver are implemented once.
+//!
 //! ```
 //! use dynlink_core::{LinkMode, LinkAccel, SystemBuilder};
 //! use dynlink_isa::{Inst, Reg};
@@ -50,6 +57,7 @@
 mod arena;
 mod error;
 mod multi;
+mod process;
 mod system;
 
 pub use arena::TenantClass;

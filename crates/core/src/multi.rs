@@ -1,9 +1,14 @@
-//! OS-level multiprogramming over one simulated core (paper §3.3).
+//! OS-level multiprogramming over one simulated machine (paper §3.3).
 //!
-//! [`MultiProcessSystem`] loads several independent processes — each
-//! with its own [`AddressSpace`], [`ProcessImage`] and live resolution
-//! table — onto a single [`Machine`], switching between them with
-//! [`dynlink_cpu::Machine::swap_process`]. This is the system-under-test
+//! [`MultiProcessSystem`] loads several independent processes — each a
+//! `Process` (image, live resolution table, prelink cache, GC remnants;
+//! see `crate::process`) plus its own parked [`AddressSpace`] and
+//! thread — onto a single [`Machine`], switching between them with
+//! [`dynlink_cpu::Machine::swap_space_with`]. Module events delegate to
+//! the active process's `Process`, exactly as `System`'s do; what is
+//! multi-process only is the switch and residency bookkeeping, the
+//! cross-process module refcounts, and the one resolution-telemetry
+//! stream shared by every process. This is the system-under-test
 //! counterpart of `dynlink_oracle::MultiOracle`: the machine carries all
 //! the microarchitectural state (BTB, ABTB, Bloom filter, caches) across
 //! switches per its configured §3.3 policy, while the oracle switches
@@ -11,46 +16,22 @@
 //! the accelerated machine's switch handling.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dynlink_cpu::{CpuError, Machine, MachineBuilder, MachineConfig, ProcessContext};
 use dynlink_isa::{Reg, VirtAddr};
 use dynlink_linker::{
-    fingerprint, LinkMode, LinkOptions, Loader, ModuleSpec, ProcessImage, ResolutionSnapshot,
-    ResolutionTable, RestoreOutcome, SnapshotBuilder, SnapshotEntry, RESOLVER_HOST_FN,
+    LinkOptions, Loader, ModuleSpec, ProcessImage, ResolutionSnapshot, RestoreOutcome,
 };
 use dynlink_mem::layout::STACK_TOP;
-use dynlink_mem::{AddressSpace, Perms, PAGE_BYTES};
-use dynlink_trace::{lock_recovering, ResolutionKind, ResolutionRecord, TelemetryWriter};
+use dynlink_mem::AddressSpace;
+use dynlink_trace::{lock_recovering, ResolutionRecord, TelemetryWriter};
 use dynlink_uarch::PerfCounters;
 
 use crate::arena::ProcessArena;
-use crate::system::GcRemnant;
+use crate::process::{wire_resolver, Process, STACK_BYTES};
 use crate::SystemError;
-
-/// Default stack size for simulated processes (matches `System`).
-const STACK_BYTES: u64 = 1 << 20;
-
-/// The per-process pieces a [`MultiProcessSystem`] boots from — either
-/// loaded one process at a time ([`MultiProcessSystem::new`] family) or
-/// spawned in bulk from class templates
-/// ([`crate::arena::ProcessArena`]).
-pub(crate) struct BootParts {
-    pub(crate) contexts: Vec<ProcessContext>,
-    pub(crate) images: Vec<Arc<ProcessImage>>,
-    pub(crate) tables: Vec<ResolutionTable>,
-    pub(crate) module_refs: HashMap<String, usize>,
-    pub(crate) demand: Vec<bool>,
-    pub(crate) hw_levels: Vec<usize>,
-    pub(crate) eager_telemetry: TelemetryWriter,
-}
-
-/// The shared resolver state: which process is active, plus one live
-/// binding table per process. The single registered resolver host
-/// function dispatches on the active index — necessary because
-/// deliberately aliasing layouts give different processes *identical*
-/// stub keys.
-type SharedTables = Arc<Mutex<(usize, Vec<ResolutionTable>)>>;
 
 /// Several loaded processes time-sharing one simulated [`Machine`].
 ///
@@ -59,9 +40,13 @@ type SharedTables = Arc<Mutex<(usize, Vec<ResolutionTable>)>>;
 /// the throwaway boot context instead.
 pub struct MultiProcessSystem {
     machine: Machine,
+    procs: Vec<Process>,
     contexts: Vec<ProcessContext>,
-    images: Vec<Arc<ProcessImage>>,
-    tables: SharedTables,
+    /// Which process the lazy resolver serves (see
+    /// [`crate::process::wire_resolver`]); repointed at every switch.
+    resolver_target: Arc<AtomicUsize>,
+    /// Resolution telemetry, shared across processes in event order.
+    telemetry: Arc<Mutex<TelemetryWriter>>,
     shared_got_pair: Option<(usize, usize)>,
     active: usize,
     switches: u64,
@@ -87,22 +72,6 @@ pub struct MultiProcessSystem {
     /// garbage-collected (and `modules_gcd` ticks) only when the last
     /// reference drops.
     module_refs: HashMap<String, usize>,
-    /// Per-process code snapshots of closed modules, for reopening.
-    gc_remnants: Vec<HashMap<String, GcRemnant>>,
-    /// Whether each process was loaded with demand paging (lazy mode),
-    /// so a reopen re-registers extents without faulting them in.
-    demand: Vec<bool>,
-    /// One in-memory prelink cache per process (lazy resolutions and
-    /// rebinds recorded, `dlclose` victims tombstoned).
-    builders: Arc<Mutex<Vec<SnapshotBuilder>>>,
-    /// Resolution telemetry, shared across processes in event order.
-    telemetry: Arc<Mutex<TelemetryWriter>>,
-    /// Each process's load-time ifunc hardware level (part of its
-    /// snapshot fingerprint).
-    hw_levels: Vec<usize>,
-    /// What each process's boot-time prelink restore did, when built
-    /// via [`MultiProcessSystem::new_with_cores_prelink`].
-    prelink_outcomes: Vec<Option<RestoreOutcome>>,
 }
 
 impl MultiProcessSystem {
@@ -176,51 +145,20 @@ impl MultiProcessSystem {
                 return Err(SystemError::NoModules);
             }
         }
-        let n = procs.len();
-        let mut contexts = Vec::with_capacity(n);
-        let mut images = Vec::with_capacity(n);
-        let mut table_vec = Vec::with_capacity(n);
-        let mut module_refs: HashMap<String, usize> = HashMap::new();
-        let mut demand = Vec::with_capacity(n);
-        let mut hw_levels = Vec::with_capacity(n);
-        let mut eager_telemetry = TelemetryWriter::new();
+        let mut contexts = Vec::with_capacity(procs.len());
+        let mut processes = Vec::with_capacity(procs.len());
         for (i, (specs, opts)) in procs.iter().enumerate() {
             let mut space = AddressSpace::new(i as u64 + 1);
             let image = Loader::new(*opts).load(specs, "main", &mut space)?;
-            let ctx = ProcessContext::new(space, image.entry(), STACK_TOP, STACK_BYTES)?;
-            for m in image.modules() {
-                *module_refs.entry(m.name.clone()).or_insert(0) += 1;
-            }
-            demand.push(opts.demand_paging && opts.mode == LinkMode::DynamicLazy);
-            hw_levels.push(opts.hw_level);
-            if opts.mode == LinkMode::DynamicNow {
-                // Load-time binds: telemetry only, never the prelink
-                // cache (see `SystemBuilder::build`).
-                for b in image.resolution().iter() {
-                    eager_telemetry.record(
-                        b.module,
-                        b.import,
-                        ResolutionKind::Eager,
-                        b.got_slot,
-                        b.target,
-                        0,
-                    );
-                }
-            }
-            table_vec.push(image.resolution().clone());
-            images.push(Arc::new(image));
-            contexts.push(ctx);
+            contexts.push(ProcessContext::new(
+                space,
+                image.entry(),
+                STACK_TOP,
+                STACK_BYTES,
+            )?);
+            processes.push(Process::new(Arc::new(image), *opts));
         }
-        let parts = BootParts {
-            contexts,
-            images,
-            tables: table_vec,
-            module_refs,
-            demand,
-            hw_levels,
-            eager_telemetry,
-        };
-        Self::assemble(parts, cfg, shared_got_pair, cores, prelink)
+        Self::assemble(contexts, processes, cfg, shared_got_pair, cores, prelink)
     }
 
     /// Spawns a *fleet* of tenant processes from class templates and
@@ -250,85 +188,34 @@ impl MultiProcessSystem {
         if cores == 0 {
             return Err(SystemError::NoModules);
         }
-        let parts = ProcessArena::build(classes, stack_bytes)?;
-        Self::assemble(parts, cfg, None, cores, Vec::new())
+        let (contexts, procs) = ProcessArena::build(classes, stack_bytes)?;
+        Self::assemble(contexts, procs, cfg, None, cores, Vec::new())
     }
 
-    /// Boots a machine over fully prepared per-process parts: registers
-    /// the dispatching resolver, hands process 0's space/thread to the
-    /// machine, and applies any boot-time prelink restores.
+    /// Boots a machine over fully loaded processes (`contexts[i]` holds
+    /// process `i`'s space and thread): wires the resolver, hands
+    /// process 0's space/thread to the machine, and applies any
+    /// boot-time prelink restores.
     fn assemble(
-        parts: BootParts,
+        mut contexts: Vec<ProcessContext>,
+        procs: Vec<Process>,
         cfg: MachineConfig,
         shared_got_pair: Option<(usize, usize)>,
         cores: usize,
         prelink: Vec<Option<ResolutionSnapshot>>,
     ) -> Result<Self, SystemError> {
-        let BootParts {
-            mut contexts,
-            images,
-            tables: table_vec,
-            module_refs,
-            demand,
-            hw_levels,
-            eager_telemetry,
-        } = parts;
-        let n = contexts.len();
-        let tables: SharedTables = Arc::new(Mutex::new((0, table_vec)));
-        let builders = Arc::new(Mutex::new(vec![SnapshotBuilder::new(); n]));
-        let telemetry = Arc::new(Mutex::new(eager_telemetry));
-
+        let n = procs.len();
+        let mut module_refs: HashMap<String, usize> = HashMap::new();
+        for p in &procs {
+            for m in p.image.modules() {
+                *module_refs.entry(m.name.clone()).or_insert(0) += 1;
+            }
+        }
         let mut machine = MachineBuilder::new(cfg)
             .cores(cores)
             .build(AddressSpace::new(0));
-        let dispatch = Arc::clone(&tables);
-        let builders_handle = Arc::clone(&builders);
-        let telemetry_handle = Arc::clone(&telemetry);
-        let explicit_invalidate = !machine.config().accel.has_bloom();
-        machine.register_host_fn(
-            RESOLVER_HOST_FN,
-            Box::new(move |ctx| {
-                let key = ctx.reg(Reg::SCRATCH);
-                let (active, module, import, got_slot, target, owner) = {
-                    let guard = dispatch.lock().expect("resolution mutex poisoned");
-                    let (active, ref tables) = *guard;
-                    let binding = tables[active]
-                        .binding_for_key(key)
-                        .expect("lazy stub fired with unknown binding key");
-                    // A binding into a `dlclose`d module resolves
-                    // through to the next open provider.
-                    let target = tables[active].effective_target(&binding.symbol, binding.target);
-                    (
-                        active,
-                        binding.module,
-                        binding.import,
-                        binding.got_slot,
-                        target,
-                        tables[active].owner_of(target),
-                    )
-                };
-                ctx.store_u64(got_slot, target.as_u64())
-                    .expect("GOT slot is mapped read-write");
-                if explicit_invalidate {
-                    ctx.invalidate_abtb();
-                }
-                ctx.set_pc(target);
-                ctx.count_resolver();
-                let epoch = {
-                    let mut bs = lock_recovering(&builders_handle);
-                    bs[active].record(module, import, got_slot, target, owner);
-                    bs[active].epoch()
-                };
-                lock_recovering(&telemetry_handle).record(
-                    module,
-                    import,
-                    ResolutionKind::Lazy,
-                    got_slot,
-                    target,
-                    epoch,
-                );
-            }),
-        );
+        let telemetry = Arc::new(Mutex::new(TelemetryWriter::new()));
+        let resolver_target = wire_resolver(&mut machine, &procs, &telemetry);
 
         // Boot: hand process 0's address space to the machine (its
         // context slot now parks the placeholder space), load its
@@ -338,8 +225,7 @@ impl MultiProcessSystem {
         machine.load_thread(0, &contexts[0]);
         machine.set_active_core(0);
         machine.core_context_switch(0);
-        let ranges = images[0].plt_ranges().to_vec();
-        machine.set_plt_ranges(&ranges);
+        machine.set_plt_ranges(procs[0].image.plt_ranges());
         machine.reset_counters();
         machine.take_marks();
         let mut resident = vec![None; cores];
@@ -347,9 +233,10 @@ impl MultiProcessSystem {
 
         let mut mps = MultiProcessSystem {
             machine,
+            procs,
             contexts,
-            images,
-            tables,
+            resolver_target,
+            telemetry,
             shared_got_pair,
             active: 0,
             switches: 0,
@@ -358,17 +245,11 @@ impl MultiProcessSystem {
             thread_switches_per_core: vec![0; cores],
             marks_per_proc: vec![0; n],
             module_refs,
-            gc_remnants: vec![HashMap::new(); n],
-            demand,
-            builders,
-            telemetry,
-            hw_levels,
-            prelink_outcomes: vec![None; n],
         };
         for (p, snap) in prelink.iter().enumerate().take(n) {
             if let Some(snap) = snap {
                 let outcome = mps.restore_snapshot_for(p, snap)?;
-                mps.prelink_outcomes[p] = Some(outcome);
+                mps.procs[p].prelink_outcome = Some(outcome);
             }
         }
         Ok(mps)
@@ -408,7 +289,7 @@ impl MultiProcessSystem {
 
     /// Process `p`'s image.
     pub fn image(&self, p: usize) -> &ProcessImage {
-        &self.images[p]
+        &self.procs[p].image
     }
 
     /// The underlying machine (which holds the *active* process).
@@ -466,7 +347,7 @@ impl MultiProcessSystem {
             _ => return,
         };
         let mut blocks: Vec<(VirtAddr, Vec<u8>)> = Vec::new();
-        for m in self.images[self.active].modules() {
+        for m in self.procs[self.active].image.modules() {
             if m.got_len == 0 {
                 continue;
             }
@@ -520,11 +401,11 @@ impl MultiProcessSystem {
             self.thread_switches_per_core[new_core] += 1;
         }
         self.resident[new_core] = Some(p);
-        let ranges = self.images[p].plt_ranges().to_vec();
+        let ranges = self.procs[p].image.plt_ranges().to_vec();
         self.machine.set_plt_ranges(&ranges);
         self.active = p;
         self.switches += 1;
-        self.tables.lock().expect("resolution mutex poisoned").0 = p;
+        self.resolver_target.store(p, Ordering::Relaxed);
         true
     }
 
@@ -565,11 +446,8 @@ impl MultiProcessSystem {
         self.machine.invalidate_abtb();
     }
 
-    /// `System::unbind_library` scoped to the active process: re-arms
-    /// every GOT slot bound into `victim`, notifying the machine of
-    /// each store on the active core's broadcast path (plus the §3.4
-    /// explicit invalidate when no Bloom filter watches the slots).
-    /// On a multi-core machine the notification reaches remote cores
+    /// `System::unbind_library` scoped to the active process. On a
+    /// multi-core machine the store notifications reach remote cores
     /// only through the coherence bus, so disabling `coherence_bus`
     /// leaves resident remote ABTBs stale.
     ///
@@ -577,86 +455,17 @@ impl MultiProcessSystem {
     ///
     /// [`SystemError::UnknownModule`] when `victim` is not loaded.
     pub fn unbind_active(&mut self, victim: &str) -> Result<u64, SystemError> {
-        if self.images[self.active].module(victim).is_none() {
-            return Err(SystemError::UnknownModule {
-                name: victim.to_owned(),
-            });
-        }
-        let writes = self.images[self.active].unbind_writes_for(victim);
-        let mut n = 0;
-        for (got_slot, stub) in writes {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, stub.as_u64())?;
-            self.machine.broadcast_store(got_slot);
-            n += 1;
-        }
-        if n > 0 && !self.machine.config().accel.has_bloom() {
-            self.machine.invalidate_abtb();
-        }
-        Ok(n)
+        self.procs[self.active].unbind(&mut self.machine, victim)
     }
 
-    /// `System::rebind_symbol` scoped to the active process: rewrites
-    /// every importer's GOT slot to `provider`'s copy of `symbol` and
-    /// updates the active process's live resolution table.
+    /// `System::rebind_symbol` scoped to the active process.
     ///
     /// # Errors
     ///
     /// [`SystemError::UnknownModule`] / [`SystemError::UnknownSymbol`]
     /// when the provider or symbol is missing.
     pub fn rebind_active(&mut self, symbol: &str, provider: &str) -> Result<u64, SystemError> {
-        let image = &self.images[self.active];
-        let module = image
-            .module(provider)
-            .ok_or_else(|| SystemError::UnknownModule {
-                name: provider.to_owned(),
-            })?;
-        let new_target = module
-            .export(symbol)
-            .ok_or_else(|| SystemError::UnknownSymbol {
-                symbol: symbol.to_owned(),
-                provider: provider.to_owned(),
-            })?;
-        let provider_idx = module.index;
-        let slots: Vec<(usize, usize, VirtAddr)> = image
-            .modules()
-            .iter()
-            .flat_map(|m| {
-                m.plt_slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.symbol == symbol)
-                    .map(move |(i, s)| (m.index, i, s.got_slot))
-            })
-            .collect();
-        let mut n = 0;
-        for (module_idx, import_idx, got_slot) in slots {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, new_target.as_u64())?;
-            self.machine.broadcast_store(got_slot);
-            let mut guard = self.tables.lock().expect("resolution mutex poisoned");
-            let active = guard.0;
-            if let Some(b) = guard.1[active].binding_mut(module_idx, import_idx) {
-                b.target = new_target;
-            }
-            drop(guard);
-            // The rebound slot supersedes the prelink cache's record
-            // (and clears any tombstone).
-            lock_recovering(&self.builders)[self.active].record(
-                module_idx,
-                import_idx,
-                got_slot,
-                new_target,
-                Some(provider_idx),
-            );
-            n += 1;
-        }
-        if n > 0 && !self.machine.config().accel.has_bloom() {
-            self.machine.invalidate_abtb();
-        }
-        Ok(n)
+        self.procs[self.active].rebind(&mut self.machine, symbol, provider)
     }
 
     /// Open-reference count of module `name` across all processes.
@@ -665,161 +474,62 @@ impl MultiProcessSystem {
     }
 
     /// `System::dlclose` scoped to the active process, with the module
-    /// refcounted across processes: the closing process's GOT slots are
-    /// re-armed (raw kernel-side writes — *not* broadcast on the store
-    /// snoop path), its mapping of the module's code pages is torn
-    /// down, and the module counts as garbage-collected only when the
-    /// last process-level reference drops. The mandated front-end
-    /// invalidation (fresh predecode identity for the *active* space,
-    /// ABTB + BTB shootdown) is gated on
-    /// [`MachineConfig::demand_invalidate`]; suspended processes keep
-    /// their own predecode identities, so their pages stay warm.
-    ///
-    /// Closing an already-closed module is a no-op returning `Ok(0)`.
+    /// refcounted across processes: the closing process's mapping of
+    /// the code pages is torn down, but the module counts as
+    /// garbage-collected only when the last reference drops. The
+    /// [`MachineConfig::demand_invalidate`] shootdown mints a fresh
+    /// predecode identity for the *active* space only; suspended
+    /// processes keep theirs, so their pages stay warm.
     ///
     /// # Errors
     ///
     /// [`SystemError::UnknownModule`] when `victim` is not loaded in
     /// the active process.
     pub fn dlclose_active(&mut self, victim: &str) -> Result<u64, SystemError> {
-        let p = self.active;
-        let idx =
-            self.images[p]
-                .module_index(victim)
-                .ok_or_else(|| SystemError::UnknownModule {
-                    name: victim.to_owned(),
-                })?;
-        {
-            let guard = self.tables.lock().expect("resolution mutex poisoned");
-            if guard.1[p].is_closed(idx) {
-                return Ok(0);
-            }
-        }
-        let mut n = 0;
-        for (got_slot, stub) in self.images[p].unbind_writes_for(victim) {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, stub.as_u64())?;
-            n += 1;
-        }
-        self.tables.lock().expect("resolution mutex poisoned").1[p].close_module(idx);
-        // Tombstone the victim's entries in this process's prelink
-        // cache: its code pages are about to be GC-unmapped, so a later
-        // restore must never re-arm a GOT slot into them.
-        lock_recovering(&self.builders)[p].tombstone(idx);
-        let extents = self.images[p].code_extents_of(victim);
-        let code = extents
-            .iter()
-            .flat_map(|&(base, len)| self.machine.space().code_in_range(base, len))
-            .collect();
-        for &(base, len) in &extents {
-            self.machine.gc_unmap_code_region(base, len);
-        }
-        self.gc_remnants[p].insert(victim.to_owned(), GcRemnant { extents, code });
-        let refs = self
-            .module_refs
-            .get_mut(victim)
-            .expect("loaded module is refcounted");
-        *refs -= 1;
-        if *refs == 0 {
-            self.machine.note_module_gc();
-        }
-        if self.machine.config().demand_invalidate {
-            self.machine.invalidate_for_module_gc();
-        }
-        Ok(n)
+        let refs = &mut self.module_refs;
+        self.procs[self.active].dlclose(&mut self.machine, victim, || {
+            let n = refs.get_mut(victim).expect("loaded module is refcounted");
+            *n -= 1;
+            *n == 0
+        })
     }
 
-    /// `System::dlreopen` scoped to the active process: rebuilds the
-    /// module's code at its original addresses (lazily, if the process
-    /// was loaded with demand paging), restores its interposition rank
-    /// in the active resolution table, and takes a fresh process-level
-    /// reference. `Ok(false)` when the module is not closed.
+    /// `System::dlreopen` scoped to the active process; a reopen takes
+    /// a fresh process-level reference.
     ///
     /// # Errors
     ///
     /// [`SystemError::UnknownModule`] when `name` was never loaded in
     /// the active process.
     pub fn reopen_active(&mut self, name: &str) -> Result<bool, SystemError> {
-        let p = self.active;
-        let idx = self.images[p]
-            .module_index(name)
-            .ok_or_else(|| SystemError::UnknownModule {
-                name: name.to_owned(),
-            })?;
-        {
-            let guard = self.tables.lock().expect("resolution mutex poisoned");
-            if !guard.1[p].is_closed(idx) {
-                return Ok(false);
-            }
+        let reopened = self.procs[self.active].reopen(&mut self.machine, name)?;
+        if reopened {
+            *self
+                .module_refs
+                .get_mut(name)
+                .expect("loaded module is refcounted") += 1;
         }
-        let remnant = self.gc_remnants[p]
-            .remove(name)
-            .expect("closed module has a GC remnant");
-        for &(base, len) in &remnant.extents {
-            self.machine
-                .space_mut()
-                .map_code_region(base, len, Perms::RX)?;
-        }
-        for &(addr, inst) in &remnant.code {
-            self.machine.space_mut().place_code(addr, inst)?;
-        }
-        if self.demand[p] {
-            for &(base, len) in &remnant.extents {
-                self.machine.space_mut().evict_code_region(base, len);
-            }
-        }
-        self.tables.lock().expect("resolution mutex poisoned").1[p].reopen_module(idx);
-        *self
-            .module_refs
-            .get_mut(name)
-            .expect("loaded module is refcounted") += 1;
-        Ok(true)
+        Ok(reopened)
     }
 
-    /// `System::evict_lib_page` scoped to the active process: evicts
-    /// one resident text page of `lib` (chosen by `page` modulo the
-    /// text size), to be faulted back in on next fetch. `Ok(false)`
-    /// when nothing was resident or the module is closed.
+    /// `System::evict_lib_page` scoped to the active process.
     ///
     /// # Errors
     ///
     /// [`SystemError::UnknownModule`] when `lib` is not loaded in the
     /// active process.
     pub fn evict_active_page(&mut self, lib: &str, page: u64) -> Result<bool, SystemError> {
-        let p = self.active;
-        let (idx, text_base, text_len) = {
-            let m = self.images[p]
-                .module(lib)
-                .ok_or_else(|| SystemError::UnknownModule {
-                    name: lib.to_owned(),
-                })?;
-            (m.index, m.text_base, m.text_len.max(1))
-        };
-        if self.tables.lock().expect("resolution mutex poisoned").1[p].is_closed(idx) {
-            return Ok(false);
-        }
-        let pages = text_len.div_ceil(PAGE_BYTES);
-        let addr = text_base + (page % pages) * PAGE_BYTES;
-        Ok(self.machine.evict_code_page(addr)?)
+        self.procs[self.active].evict_page(&mut self.machine, lib, page)
     }
 
-    /// Freezes process `p`'s in-memory prelink cache into a
-    /// serializable snapshot stamped with that process's live
-    /// [`fingerprint`].
+    /// `System::capture_snapshot` for process `p`.
     pub fn capture_snapshot_of(&self, p: usize) -> ResolutionSnapshot {
-        let guard = self.tables.lock().expect("resolution mutex poisoned");
-        let fp = fingerprint(&self.images[p], &guard.1[p], self.hw_levels[p]);
-        drop(guard);
-        lock_recovering(&self.builders)[p].snapshot(fp)
+        self.procs[p].capture_snapshot()
     }
 
-    /// Restores a serialized snapshot into process `p` (rules as in
-    /// `System::restore_snapshot`: fingerprint gate plus per-entry
-    /// validation when [`MachineConfig::prelink_validate`] is on,
-    /// verbatim replay when off). The active process's GOT writes go
-    /// through the machine's external-store path; a suspended process's
-    /// go straight into its parked address space.
+    /// `System::restore_snapshot` into process `p`. A suspended
+    /// process's GOT writes go straight into its parked address space,
+    /// with no broadcast and no ABTB invalidate.
     ///
     /// # Errors
     ///
@@ -829,91 +539,28 @@ impl MultiProcessSystem {
         p: usize,
         snapshot: &ResolutionSnapshot,
     ) -> Result<RestoreOutcome, SystemError> {
-        let validate = self.machine.config().prelink_validate;
-        if validate {
-            let guard = self.tables.lock().expect("resolution mutex poisoned");
-            let live = fingerprint(&self.images[p], &guard.1[p], self.hw_levels[p]);
-            if snapshot.fingerprint != live {
-                return Ok(RestoreOutcome::Fallback);
-            }
-        }
-        self.install_entries_for(p, &snapshot.entries, validate)
+        let parked = if p == self.active {
+            None
+        } else {
+            Some(self.contexts[p].space_mut())
+        };
+        self.procs[p].restore_snapshot(&mut self.machine, parked, &self.telemetry, snapshot)
     }
 
-    /// Re-installs the *active* process's own in-memory prelink cache
-    /// into its GOT — the mid-run `prelink` schedule event (see
-    /// `System::prelink_restore_self`). With
-    /// [`MachineConfig::prelink_validate`] off, entries tombstoned by
-    /// an earlier `dlclose` are re-armed into GC-unmapped code.
+    /// `System::prelink_restore_self` for the active process.
     ///
     /// # Errors
     ///
     /// Propagates memory faults from GOT writes.
     pub fn prelink_restore_active(&mut self) -> Result<RestoreOutcome, SystemError> {
-        let p = self.active;
-        let entries: Vec<SnapshotEntry> =
-            lock_recovering(&self.builders)[p].iter().copied().collect();
-        let validate = self.machine.config().prelink_validate;
-        self.install_entries_for(p, &entries, validate)
-    }
-
-    fn install_entries_for(
-        &mut self,
-        p: usize,
-        entries: &[SnapshotEntry],
-        validate: bool,
-    ) -> Result<RestoreOutcome, SystemError> {
-        let mut installed = 0;
-        let mut skipped = 0;
-        let epoch = lock_recovering(&self.builders)[p].epoch();
-        for e in entries {
-            let skip = validate && {
-                let guard = self.tables.lock().expect("resolution mutex poisoned");
-                e.should_skip(&guard.1[p])
-            };
-            if skip {
-                skipped += 1;
-                lock_recovering(&self.telemetry).record(
-                    e.module as usize,
-                    e.import as usize,
-                    ResolutionKind::CacheMiss,
-                    e.got_slot,
-                    e.target,
-                    epoch,
-                );
-                continue;
-            }
-            if p == self.active {
-                self.machine
-                    .space_mut()
-                    .write_u64(e.got_slot, e.target.as_u64())?;
-                self.machine.broadcast_store(e.got_slot);
-            } else {
-                self.contexts[p]
-                    .space_mut()
-                    .write_u64(e.got_slot, e.target.as_u64())?;
-            }
-            installed += 1;
-            lock_recovering(&self.telemetry).record(
-                e.module as usize,
-                e.import as usize,
-                ResolutionKind::CacheHit,
-                e.got_slot,
-                e.target,
-                epoch,
-            );
-        }
-        if installed > 0 && p == self.active && !self.machine.config().accel.has_bloom() {
-            self.machine.invalidate_abtb();
-        }
-        Ok(RestoreOutcome::Restored { installed, skipped })
+        self.procs[self.active].restore_self(&mut self.machine, &self.telemetry)
     }
 
     /// What process `p`'s boot-time prelink restore did, when this
     /// system was built via
     /// [`MultiProcessSystem::new_with_cores_prelink`].
     pub fn prelink_outcome_of(&self, p: usize) -> Option<RestoreOutcome> {
-        self.prelink_outcomes[p]
+        self.procs[p].prelink_outcome
     }
 
     /// Drains the resolution telemetry collected so far, in event order

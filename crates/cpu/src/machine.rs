@@ -2173,39 +2173,14 @@ impl Machine {
         core.l2.flush();
     }
 
-    /// Notifies the machine of a store performed by an agent outside it
-    /// entirely (DMA, or a host runtime rewriting a GOT slot behind the
-    /// simulator's back): the coherence-invalidation path of §3.2,
-    /// delivered to **every** core's Bloom filter unconditionally.
-    ///
-    /// Deprecated: this was the hand-crafted stand-in for coherence
-    /// invalidation while the machine only had one core. Software
-    /// stores now go through [`Machine::broadcast_store`] (identical on
-    /// one core, and honouring the coherence bus on many), and pipeline
-    /// stores broadcast at retire; only a model of a truly busless
-    /// outside agent still wants the unconditional delivery this
-    /// performs.
-    #[deprecated(
-        note = "use Machine::broadcast_store, which routes through the §3.2 coherence bus"
-    )]
-    pub fn external_store(&mut self, addr: VirtAddr) {
-        // Raw key: the Bloom filter is keyed by the slot address alone,
-        // never by the writer's ASID (see the coherence note on
-        // `Core::tagged`), so notifications from any agent hit.
-        for core in &mut self.cores {
-            core.snoop_store(addr);
-        }
-    }
-
     /// Notifies the machine of a store performed by software running on
     /// the **active core** without going through the simulated store
     /// pipeline (e.g. the runtime loader rewriting GOT slots during a
     /// rebind): the active core's Bloom filter is checked directly, and
     /// the store broadcasts to the other cores only when the coherence
-    /// bus is enabled. On a 1-core machine this is identical to
-    /// [`Machine::external_store`]; on a multi-core machine with
-    /// `coherence_bus` disabled, remote cores are left stale — the
-    /// negative control for cross-core staleness experiments.
+    /// bus is enabled. On a multi-core machine with `coherence_bus`
+    /// disabled, remote cores are left stale — the negative control for
+    /// cross-core staleness experiments.
     pub fn broadcast_store(&mut self, addr: VirtAddr) {
         self.cores[self.active].snoop_store(addr);
         if self.shared.snoop {
@@ -2902,16 +2877,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the deprecated path must keep working
-    fn external_store_notification_flushes() {
+    fn broadcast_store_to_a_watched_slot_flushes() {
         let (mut m, _c) = run_library_calls(MachineConfig::enhanced(), 10);
         assert!(m.abtb_len() > 0);
-        // A store from "another core" to the watched GOT slot.
-        m.external_store(VirtAddr::new(GOT + 16));
+        // A runtime rewrite of the watched GOT slot.
+        m.broadcast_store(VirtAddr::new(GOT + 16));
         assert_eq!(m.abtb_len(), 0);
         // An unrelated address does not flush.
         let (mut m2, _c) = run_library_calls(MachineConfig::enhanced(), 10);
-        m2.external_store(VirtAddr::new(GOT + 0x800));
+        m2.broadcast_store(VirtAddr::new(GOT + 0x800));
         assert!(m2.abtb_len() > 0);
     }
 
@@ -3270,7 +3244,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // contrasts broadcast_store with the legacy external_store
     fn broadcast_store_respects_the_bus_switch() {
         for (bus, expect_remote_flush) in [(true, true), (false, false)] {
             let mut cfg = MachineConfig::enhanced();
@@ -3284,18 +3257,6 @@ mod tests {
                 expect_remote_flush,
                 "bus={bus}"
             );
-            // external_store always reaches every core, bus or not.
-            let mut m2 = two_core_machine(cfg2(bus));
-            train_core0(&mut m2);
-            m2.set_active_core(1);
-            m2.external_store(VirtAddr::new(GOT + 16));
-            assert!(m2.counters_for(0).abtb_coherence_flushes >= 1);
-        }
-
-        fn cfg2(bus: bool) -> MachineConfig {
-            let mut cfg = MachineConfig::enhanced();
-            cfg.coherence_bus = bus;
-            cfg
         }
     }
 
