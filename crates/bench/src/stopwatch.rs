@@ -1,9 +1,10 @@
 //! Minimal timing harness for the plain-`main` bench binaries.
 //!
-//! The offline build has no external bench framework, so every
+//! The offline build has no external bench framework, so a
 //! `[[bench]]` target is a `harness = false` program: it prints the
-//! paper table it regenerates and then times its hot loops with this
-//! module. Results are mean wall-clock per iteration — good enough to
+//! table it measures and then times its hot loops with this module.
+//! (The paper's tables and figures are rendered by `repro --exp`, not
+//! by benches.) Results are mean wall-clock per iteration — good enough to
 //! catch order-of-magnitude regressions, which is all the CI smoke
 //! run (`cargo bench --no-run`) and a human eyeballing a run need.
 

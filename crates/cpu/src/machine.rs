@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use dynlink_isa::{Inst, MemRef, Operand, Reg, VirtAddr};
+use dynlink_isa::{Inst, MemRef, Reg, VirtAddr};
 use dynlink_mem::{AddressSpace, MemError, Perms, PAGE_BYTES};
 use dynlink_uarch::{
     Abtb, BloomFilter, Btb, Cache, DirectionPredictor, FlushCause, PerfCounters,
@@ -13,8 +13,8 @@ use dynlink_uarch::{
 use crate::config::{MachineConfig, SwitchPolicy};
 use crate::events::{CpuError, HostCtx, HostFn, MarkEvent, RetireEvent, RetireObserver, RunExit};
 use crate::superblock::{
-    assign_fetch_runs, fuse_ops, translate_op, MicroOp, PreOp, Role, SbCache, SbOp, SuperBlock,
-    MAX_BLOCK_OPS,
+    assign_fetch_runs, fuse_ops, lower, translate_op, MicroOp, PreOp, Role, SbCache, SbOp,
+    SuperBlock, MAX_BLOCK_OPS,
 };
 
 /// Where a charged cycle went (index into the breakdown array).
@@ -397,21 +397,32 @@ impl Core {
         Ok((inst, in_plt))
     }
 
-    /// Instruction-side fetch accounting for one executed instruction.
-    fn charge_fetch(&mut self, asid: u64, pc: VirtAddr) {
+    /// Instruction-side fetch accounting for one executed instruction;
+    /// returns whether the fetch hit the I-cache.
+    #[inline]
+    fn charge_fetch(&mut self, asid: u64, pc: VirtAddr) -> bool {
         if self.itlb.access(asid, pc).is_miss() {
             self.counters.itlb_misses += 1;
             self.charge_cause(self.cfg.penalties.tlb_walk, Cause::ITlb);
         }
-        self.charge_icache(pc);
+        self.charge_icache(pc)
+    }
+
+    /// Base issue/retire cost of `insts` instructions.
+    #[inline]
+    fn charge_base(&mut self, insts: u64) {
+        let base = self.cfg.penalties.base_milli_cycles * insts;
+        self.cycle_millis += base;
+        self.breakdown_millis[Cause::Base as usize] += base;
     }
 
     /// The I-cache half of [`Core::charge_fetch`], separable so the
     /// fetch-run path can replay it per op when the folded tail does
-    /// not apply.
+    /// not apply; returns whether the access hit.
     #[inline]
-    fn charge_icache(&mut self, pc: VirtAddr) {
-        if self.icache.access(pc).is_miss() {
+    fn charge_icache(&mut self, pc: VirtAddr) -> bool {
+        let hit = self.icache.access(pc).is_hit();
+        if !hit {
             self.counters.icache_misses += 1;
             let miss_cost = if self.l2.access(pc).is_hit() {
                 self.cfg.penalties.l2_hit
@@ -425,6 +436,7 @@ impl Core {
                 self.l2.fill(next);
             }
         }
+        hit
     }
 
     /// Fetch accounting for a run of `k ≥ 1` consecutive same-line,
@@ -446,25 +458,7 @@ impl Core {
     ///   must replay [`Core::charge_icache`] per tail op, in program
     ///   order; `false` reports this.
     fn charge_fetch_run(&mut self, asid: u64, pc: VirtAddr, k: u64) -> bool {
-        if self.itlb.access(asid, pc).is_miss() {
-            self.counters.itlb_misses += 1;
-            self.charge_cause(self.cfg.penalties.tlb_walk, Cause::ITlb);
-        }
-        let icache_hit = self.icache.access(pc).is_hit();
-        if !icache_hit {
-            self.counters.icache_misses += 1;
-            let miss_cost = if self.l2.access(pc).is_hit() {
-                self.cfg.penalties.l2_hit
-            } else {
-                self.cfg.penalties.memory
-            };
-            self.charge_cause(miss_cost, Cause::ICache);
-            if self.cfg.icache_next_line_prefetch {
-                let next = pc.cache_line(self.cfg.icache.line_bytes) + self.cfg.icache.line_bytes;
-                self.icache.fill(next);
-                self.l2.fill(next);
-            }
-        }
+        let icache_hit = self.charge_fetch(asid, pc);
         if k > 1 {
             // Tail accesses 2..k are guaranteed hits on the entry the
             // first access just touched: fold them to counter
@@ -663,166 +657,14 @@ impl Core {
         Ok(value)
     }
 
-    /// Executes one (non-host-call) instruction functionally.
-    fn exec(&mut self, shared: &mut Shared, pc: VirtAddr, inst: Inst) -> Result<Exec, MemError> {
-        let asid = shared.space.asid();
-        let fall = pc + inst.encoded_len();
-        let mut loaded_slot = None;
-        let mut skipped = None;
-        let next_pc = match inst {
-            Inst::Alu { op, dst, src } => {
-                let rhs = self.operand(src);
-                let value = op.apply(self.reg(dst), rhs);
-                self.set_reg(dst, value);
-                fall
-            }
-            Inst::MovImm { dst, imm } => {
-                self.set_reg(dst, imm);
-                fall
-            }
-            Inst::MovReg { dst, src } => {
-                let v = self.reg(src);
-                self.set_reg(dst, v);
-                fall
-            }
-            Inst::Lea { dst, mem } => {
-                let ea = self.effective_addr(mem);
-                self.set_reg(dst, ea.as_u64());
-                fall
-            }
-            Inst::Load { dst, mem } => {
-                let ea = self.effective_addr(mem);
-                let v = self.load_u64(shared, ea)?;
-                self.set_reg(dst, v);
-                fall
-            }
-            Inst::Store { src, mem } => {
-                let ea = self.effective_addr(mem);
-                let v = self.reg(src);
-                self.retire_store(shared, ea, v)?;
-                fall
-            }
-            Inst::Push { src } => {
-                let v = self.reg(src);
-                self.push_stack(shared, v)?;
-                fall
-            }
-            Inst::Pop { dst } => {
-                let v = self.pop_stack(shared)?;
-                self.set_reg(dst, v);
-                fall
-            }
-            Inst::CallDirect { target } => {
-                self.counters.branches += 1;
-                self.push_stack(shared, fall.as_u64())?;
-                self.ras.push(fall);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, target);
-                skipped = skip;
-                next
-            }
-            Inst::CallIndirectReg { target } => {
-                self.counters.branches += 1;
-                let t = VirtAddr::new(self.reg(target));
-                self.push_stack(shared, fall.as_u64())?;
-                self.ras.push(fall);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::CallIndirectMem { mem } => {
-                self.counters.branches += 1;
-                let ea = self.effective_addr(mem);
-                let t = VirtAddr::new(self.load_u64(shared, ea)?);
-                loaded_slot = Some(ea);
-                self.push_stack(shared, fall.as_u64())?;
-                self.ras.push(fall);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::JmpDirect { target } => {
-                self.counters.branches += 1;
-                let (next, skip) = self.resolve_btb_branch(asid, pc, target);
-                skipped = skip;
-                next
-            }
-            Inst::JmpIndirectMem { mem } => {
-                self.counters.branches += 1;
-                let ea = self.effective_addr(mem);
-                let t = VirtAddr::new(self.load_u64(shared, ea)?);
-                loaded_slot = Some(ea);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::JmpIndirectReg { target } => {
-                self.counters.branches += 1;
-                let t = VirtAddr::new(self.reg(target));
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::BranchCond {
-                cond,
-                lhs,
-                rhs,
-                target,
-            } => {
-                self.counters.branches += 1;
-                let taken = cond.eval(self.reg(lhs), self.operand(rhs));
-                let predicted = self.bpred.predict(pc);
-                if predicted != taken {
-                    self.counters.branch_mispredictions += 1;
-                    self.charge_cause(self.cfg.penalties.branch_mispredict, Cause::Mispredict);
-                }
-                self.bpred.update(pc, taken);
-                if taken {
-                    // Taken branches occupy BTB entries (pressure model).
-                    self.btb.update(pc, target);
-                    target
-                } else {
-                    fall
-                }
-            }
-            Inst::Ret => {
-                self.counters.branches += 1;
-                let predicted = self.ras.pop();
-                let actual = VirtAddr::new(self.pop_stack(shared)?);
-                if predicted != Some(actual) {
-                    self.counters.branch_mispredictions += 1;
-                    self.charge_cause(self.cfg.penalties.branch_mispredict, Cause::Mispredict);
-                }
-                actual
-            }
-            Inst::Nop => fall,
-            Inst::Halt => {
-                self.halted = true;
-                pc
-            }
-            Inst::Mark { id } => {
-                let ev = MarkEvent {
-                    id,
-                    instructions: self.counters.instructions + 1,
-                    cycles: self.cycles(),
-                };
-                self.marks.push(ev);
-                fall
-            }
-            Inst::HostCall { .. } => unreachable!("host calls handled by Machine::step"),
-        };
-        Ok(Exec {
-            next_pc,
-            loaded_slot,
-            skipped,
-        })
-    }
-
     /// Executes a fused register-only pre-op — the subset of
-    /// [`Core::exec_sbop`] arms that cannot fault, touch memory-system
+    /// [`Core::exec_op`] arms that cannot fault, touch memory-system
     /// state or transfer control — and retires it: instruction
-    /// counters and pattern training, exactly as if it had dispatched
-    /// on its own. (Its fetch and base-cycle charges are part of the
-    /// enclosing fetch-run window.)
+    /// counters and pattern training, exactly as [`Core::retire`]
+    /// would. (Its fetch and base-cycle charges are part of the
+    /// enclosing fetch-run window.) A deliberate copy of those arms:
+    /// sending pre-ops through `exec_op` and `retire` instead measured
+    /// a few percent slower on superblock runs.
     #[inline]
     fn exec_pre(&mut self, pre: &PreOp) {
         match pre.op {
@@ -868,75 +710,22 @@ impl Core {
         }
     }
 
-    #[inline]
-    fn operand(&self, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.reg(r),
-            Operand::Imm(i) => i,
-        }
-    }
-
-    /// Retire-stage ABTB training (paper §3.2): a retired call arms the
-    /// detector; an immediately following memory-indirect jump (with up
-    /// to `max_trampoline_body` scratch-only instructions in between,
-    /// for ARM-style trampolines) trains the ABTB and the Bloom filter.
-    fn train_pattern(&mut self, asid: u64, inst: Inst, exec: &Exec) {
-        if !self.cfg.accel.has_abtb() {
-            return;
-        }
-        if inst.is_call() {
-            self.pending = if exec.skipped.is_none() {
-                Some(Pending {
-                    call_target: exec.next_pc,
-                    body: 0,
-                })
-            } else {
-                None
-            };
-            return;
-        }
-        if inst.is_mem_indirect_jump() {
-            if let (Some(p), Some(slot)) = (self.pending.take(), exec.loaded_slot) {
-                let key = self.tagged(asid, p.call_target);
-                self.counters.abtb_inserts += 1;
-                self.abtb.insert(key, exec.next_pc);
-                if self.cfg.accel.has_bloom() {
-                    // Raw (unsalted) key: any writer to this slot —
-                    // whatever its ASID — must be able to hit the
-                    // filter. See the coherence note on `tagged`.
-                    self.bloom.insert(slot.as_u64());
-                }
-            }
-            return;
-        }
-        // Scratch-only arithmetic may appear inside multi-instruction
-        // (ARM-flavoured) trampolines; anything else breaks the pattern.
-        let scratch_only = inst.written_reg() == Some(Reg::SCRATCH)
-            && !inst.is_control()
-            && !inst.is_load()
-            && !inst.is_store();
-        match (&mut self.pending, scratch_only) {
-            (Some(p), true) => {
-                p.body += 1;
-                if p.body > self.cfg.max_trampoline_body {
-                    self.pending = None;
-                }
-            }
-            (slot, _) => *slot = None,
-        }
-    }
-
-    /// Executes one translated micro-op functionally — the superblock
-    /// engine's counterpart of [`Core::exec`], arm for arm, with the
-    /// fall-through pc pre-resolved in the [`SbOp`] instead of derived
-    /// from `encoded_len` per execution.
-    #[inline]
-    fn exec_sbop(&mut self, shared: &mut Shared, asid: u64, sbop: &SbOp) -> Result<Exec, MemError> {
-        let pc = sbop.pc;
-        let fall = sbop.fall;
+    /// Executes one micro-op functionally: the one body of instruction
+    /// semantics, shared by the interpreter (one lowered instruction
+    /// per step) and the superblock engine (each translated op). `fall`
+    /// is the fall-through pc, precomputed by the caller.
+    #[inline(always)]
+    fn exec_op(
+        &mut self,
+        shared: &mut Shared,
+        asid: u64,
+        pc: VirtAddr,
+        fall: VirtAddr,
+        op: MicroOp,
+    ) -> Result<Exec, MemError> {
         let mut loaded_slot = None;
         let mut skipped = None;
-        let next_pc = match sbop.op {
+        let next_pc = match op {
             MicroOp::AluRR { op, dst, src } => {
                 let value = op.apply(self.reg(dst), self.reg(src));
                 self.set_reg(dst, value);
@@ -1107,10 +896,12 @@ impl Core {
         })
     }
 
-    /// Retire-stage ABTB training with the pattern role precomputed at
-    /// translation time — semantically identical to
-    /// [`Core::train_pattern`], minus the per-retire `Inst` predicate
-    /// chain.
+    /// Retire-stage ABTB training (paper §3.2): a retired call arms the
+    /// detector; an immediately following memory-indirect jump (with up
+    /// to `max_trampoline_body` scratch-only instructions in between,
+    /// for ARM-style trampolines) trains the ABTB and the Bloom filter.
+    /// The instruction's [`Role`] is precomputed at translation time in
+    /// blocks and derived per step by the interpreter.
     #[inline]
     fn train_role(&mut self, asid: u64, role: Role, exec: &Exec) {
         if !self.cfg.accel.has_abtb() {
@@ -1133,10 +924,16 @@ impl Core {
                     self.counters.abtb_inserts += 1;
                     self.abtb.insert(key, exec.next_pc);
                     if self.cfg.accel.has_bloom() {
+                        // Raw (unsalted) key: any writer to this slot —
+                        // whatever its ASID — must be able to hit the
+                        // filter. See the coherence note on `tagged`.
                         self.bloom.insert(slot.as_u64());
                     }
                 }
             }
+            // Scratch-only arithmetic may appear inside multi-instruction
+            // (ARM-flavoured) trampolines; anything else breaks the
+            // pattern.
             Role::ScratchOnly => {
                 if let Some(p) = &mut self.pending {
                     p.body += 1;
@@ -1148,6 +945,57 @@ impl Core {
             Role::Other => self.pending = None,
         }
     }
+
+    /// The retire stage of one executed instruction, shared by the
+    /// interpreter and the superblock engine: drain the invalidation
+    /// bus — every store this instruction retired is snooped by every
+    /// *other* core's Bloom filter (cross-core §3.2 coherence; empty,
+    /// and free, on single-core machines or with the bus disabled) —
+    /// then count the instruction, credit a skipped trampoline and
+    /// train the ABTB. `others` are the cores on either side of this
+    /// one (see [`split_active`]).
+    #[inline(always)]
+    fn retire(
+        &mut self,
+        shared: &mut Shared,
+        others: &mut [&mut [Core]; 2],
+        asid: u64,
+        in_plt: bool,
+        role: Role,
+        exec: &Exec,
+    ) {
+        if !shared.bus.is_empty() {
+            let bus = std::mem::take(&mut shared.bus);
+            for &addr in &bus {
+                for core in others.iter_mut().flat_map(|side| side.iter_mut()) {
+                    core.snoop_store(addr);
+                }
+            }
+            // Hand the allocation back for reuse.
+            shared.bus = bus;
+            shared.bus.clear();
+        }
+        self.counters.instructions += 1;
+        if in_plt {
+            self.counters.trampoline_instructions += 1;
+        }
+        if let Some(tramp) = exec.skipped {
+            if shared.is_plt(tramp) {
+                self.counters.trampolines_skipped += 1;
+            }
+        }
+        self.train_role(asid, role, exec);
+    }
+}
+
+/// Splits the active core out of `cores`: the core itself, plus the
+/// slices on either side of it (the bus-drain targets of
+/// [`Core::retire`]).
+#[inline]
+fn split_active(cores: &mut [Core], active: usize) -> (&mut Core, [&mut [Core]; 2]) {
+    let (left, rest) = cores.split_at_mut(active);
+    let (core, right) = rest.split_at_mut(1);
+    (&mut core[0], [left, right])
 }
 
 /// A suspended process: architectural register file, program counter,
@@ -1563,10 +1411,15 @@ impl Machine {
         }
     }
 
-    /// The per-instruction hot path, monomorphized over whether retire
-    /// observers are attached so the observer-free dispatch loop pays
-    /// nothing for the hook. Callers check `halted` (and pick `OBSERVE`)
-    /// once per dispatch batch, not per instruction.
+    /// The interpreter: one instruction fetched (faulting a demand page
+    /// in if needed), charged, lowered to its micro-op and run through
+    /// the same [`Core::exec_op`] and [`Core::retire`] as a translated
+    /// block — the one-op case of the superblock path. Host calls, which
+    /// no block contains, are dispatched here. Monomorphized over
+    /// whether retire observers are attached so the observer-free
+    /// dispatch loop pays nothing for the hook. Callers check `halted`
+    /// (and pick `OBSERVE`) once per dispatch batch, not per
+    /// instruction.
     fn step_one<const OBSERVE: bool>(&mut self) -> Result<(), CpuError> {
         let active = self.active;
         let asid = self.shared.space.asid();
@@ -1590,76 +1443,55 @@ impl Machine {
             }
             Err(source) => return Err(CpuError { pc, source }),
         };
-        {
-            let core = &mut self.cores[active];
-            core.charge_fetch(asid, pc);
-            core.cycle_millis += core.cfg.penalties.base_milli_cycles;
-            core.breakdown_millis[Cause::Base as usize] += core.cfg.penalties.base_milli_cycles;
-        }
+        self.cores[active].charge_fetch(asid, pc);
+        self.cores[active].charge_base(1);
 
-        let exec = if let Inst::HostCall { id } = inst {
-            {
-                let core = &mut self.cores[active];
-                let cost = core.cfg.penalties.host_call;
-                core.charge_cause(cost, Cause::HostCall);
-            }
-            // Split borrow: the callback table, the core array and the
-            // shared state are disjoint fields, so the callback can run
-            // against them while borrowed from the map in place — no
-            // remove/re-insert (two hash-table writes) per host call.
-            let f = self.host_fns.get_mut(&id.0).ok_or(CpuError {
-                pc,
-                source: MemError::NoInstruction { addr: pc },
-            })?;
-            let mut ctx = HostCtx {
-                cores: &mut self.cores,
-                active,
-                shared: &mut self.shared,
-                redirect: None,
-            };
-            f(&mut ctx);
-            let next_pc = ctx.redirect.unwrap_or(pc + inst.encoded_len());
-            Exec {
-                next_pc,
-                loaded_slot: None,
-                skipped: None,
-            }
-        } else {
-            self.cores[active]
-                .exec(&mut self.shared, pc, inst)
-                .map_err(|source| CpuError { pc, source })?
-        };
-
-        // Drain the invalidation bus: every store the active core
-        // retired this instruction is snooped by every *other* core's
-        // Bloom filter (cross-core §3.2 coherence). Empty — and free —
-        // on single-core machines or with the bus disabled.
-        if !self.shared.bus.is_empty() {
-            let bus = std::mem::take(&mut self.shared.bus);
-            for &addr in &bus {
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    if i != active {
-                        core.snoop_store(addr);
-                    }
+        let fall = pc + inst.encoded_len();
+        let exec = match lower(inst) {
+            Ok((op, _)) => self.cores[active]
+                .exec_op(&mut self.shared, asid, pc, fall, op)
+                .map_err(|source| CpuError { pc, source })?,
+            Err(id) => {
+                {
+                    let core = &mut self.cores[active];
+                    let cost = core.cfg.penalties.host_call;
+                    core.charge_cause(cost, Cause::HostCall);
+                }
+                // Split borrow: the callback table, the core array and
+                // the shared state are disjoint fields, so the callback
+                // can run against them while borrowed from the map in
+                // place — no remove/re-insert (two hash-table writes)
+                // per host call.
+                let f = self.host_fns.get_mut(&id.0).ok_or(CpuError {
+                    pc,
+                    source: MemError::NoInstruction { addr: pc },
+                })?;
+                let mut ctx = HostCtx {
+                    cores: &mut self.cores,
+                    active,
+                    shared: &mut self.shared,
+                    redirect: None,
+                };
+                f(&mut ctx);
+                Exec {
+                    next_pc: ctx.redirect.unwrap_or(fall),
+                    loaded_slot: None,
+                    skipped: None,
                 }
             }
-            // Hand the allocation back for reuse.
-            self.shared.bus = bus;
-            self.shared.bus.clear();
-        }
+        };
 
         // Retire. `in_plt` comes precomputed from the predecoded slot.
-        let core = &mut self.cores[active];
-        core.counters.instructions += 1;
-        if in_plt {
-            core.counters.trampoline_instructions += 1;
-        }
-        if let Some(tramp) = exec.skipped {
-            if self.shared.is_plt(tramp) {
-                core.counters.trampolines_skipped += 1;
-            }
-        }
-        core.train_pattern(asid, inst, &exec);
+        let (core, mut others) = split_active(&mut self.cores, active);
+        core.retire(
+            &mut self.shared,
+            &mut others,
+            asid,
+            in_plt,
+            Role::of(&inst),
+            &exec,
+        );
+        core.pc = exec.next_pc;
         if OBSERVE {
             let event = RetireEvent {
                 pc,
@@ -1675,7 +1507,6 @@ impl Machine {
                     .on_retire(&event);
             }
         }
-        self.cores[active].pc = exec.next_pc;
         Ok(())
     }
 
@@ -1866,10 +1697,12 @@ impl Machine {
     /// may predate a patch or eviction, and a stale successor must fall
     /// back to the dispatcher for retranslation.
     ///
-    /// Each micro-op retires with exactly the per-instruction sequence
-    /// of [`Machine::step_one`]: fetch charge, base charge, functional
-    /// execution, bus drain, retire counters, pattern training, pc
-    /// update. A budget cut stops at an op boundary with the pc on the
+    /// Each main op executes and retires through the same
+    /// [`Core::exec_op`] and [`Core::retire`] as [`Machine::step_one`]
+    /// (a fused pre-op through [`Core::exec_pre`]), after the same fetch
+    /// and base charges (folded per fetch-run window where the outcome
+    /// is fixed). A
+    /// budget cut stops at an op boundary with the pc on the
     /// first unexecuted op (resuming there later translates a new
     /// block mid-run); a memory fault parks the pc on the faulting op
     /// and reports it exactly as the interpreter would.
@@ -1893,50 +1726,7 @@ impl Machine {
         // then works through one straight `&mut Core` (no bounds check
         // per use), and the bus drain still reaches every *other* core
         // through the two remainder slices.
-        let (left, rest) = cores.split_at_mut(active);
-        let (core, right) = rest.split_first_mut().expect("active core in range");
-        let mut next_pc;
-        // Executes one main op and retires it: functional execution,
-        // bus drain, counters, pattern training — everything but the
-        // fetch/base charges, which the enclosing window handles.
-        // (A macro, not a closure, because it borrows `core`,
-        // `shared`, `left`, `right` and early-returns on faults.)
-        macro_rules! retire_main {
-            ($op:expr) => {{
-                let op = $op;
-                let exec = match core.exec_sbop(shared, asid, op) {
-                    Ok(e) => e,
-                    Err(source) => {
-                        core.pc = op.pc;
-                        return Err(CpuError { pc: op.pc, source });
-                    }
-                };
-                // Bus drain, as in `step_one`: stores this op retired
-                // are snooped by every other core before the next op
-                // issues.
-                if !shared.bus.is_empty() {
-                    let bus = std::mem::take(&mut shared.bus);
-                    for &addr in &bus {
-                        for c in left.iter_mut().chain(right.iter_mut()) {
-                            c.snoop_store(addr);
-                        }
-                    }
-                    shared.bus = bus;
-                    shared.bus.clear();
-                }
-                core.counters.instructions += 1;
-                if op.in_plt {
-                    core.counters.trampoline_instructions += 1;
-                }
-                if let Some(tramp) = exec.skipped {
-                    if shared.is_plt(tramp) {
-                        core.counters.trampolines_skipped += 1;
-                    }
-                }
-                core.train_role(asid, op.role, &exec);
-                next_pc = exec.next_pc;
-            }};
-        }
+        let (core, mut others) = split_active(cores, active);
         loop {
             let blk = &sb.blocks[idx as usize];
             let ops = &blk.ops;
@@ -1961,67 +1751,54 @@ impl Machine {
                 n
             };
             debug_assert!(n > 0, "dispatched block with no budget or no ops");
-            next_pc = core.pc;
+            let mut next_pc = core.pc;
             // Fetch-run windows: the head op's window covers
             // `fetch_insts` instructions on one I-cache line of which
             // only the last can fault, so all fetch and base-cycle
             // charges land up front (folded where the structural
-            // outcome is predetermined) before the window executes.
+            // outcome is predetermined) before the window executes. A
+            // window the budget cuts short folds the same way over the
+            // ops that fit: they are all register-only, since only a
+            // window's last op may touch memory.
             let mut i = 0;
             while i < n {
                 let head = &ops[i];
-                let k_ops = head.fetch_run as usize;
-                if i + k_ops <= n {
-                    let insts = u64::from(head.fetch_insts);
-                    let folded = if insts > 1 {
-                        core.charge_fetch_run(asid, head.first_pc(), insts)
-                    } else {
-                        core.charge_fetch(asid, head.first_pc());
-                        true
-                    };
-                    let base = core.cfg.penalties.base_milli_cycles * insts;
-                    core.cycle_millis += base;
-                    core.breakdown_millis[Cause::Base as usize] += base;
-                    // When the head fetch missed the I-cache the tail
-                    // outcomes were not foldable: replay the I-cache
-                    // side per instruction, in program order, skipping
-                    // the window's first (already charged in full).
-                    let mut skip_first = true;
-                    for op in &ops[i..i + k_ops] {
-                        if let Some(pre) = &op.pre {
-                            if !folded && !skip_first {
-                                core.charge_icache(pre.pc);
-                            }
-                            skip_first = false;
-                            core.exec_pre(pre);
-                        }
+                let run_end = i + head.fetch_run as usize;
+                let (end, insts) = if run_end <= n {
+                    (run_end, u64::from(head.fetch_insts))
+                } else {
+                    (n, ops[i..n].iter().map(SbOp::count).sum())
+                };
+                let folded = core.charge_fetch_run(asid, head.first_pc(), insts);
+                core.charge_base(insts);
+                // When the head fetch missed the I-cache the tail
+                // outcomes were not foldable: replay the I-cache side
+                // per instruction, in program order, skipping the
+                // window's first (already charged in full).
+                let mut skip_first = true;
+                for op in &ops[i..end] {
+                    if let Some(pre) = &op.pre {
                         if !folded && !skip_first {
-                            core.charge_icache(op.pc);
+                            core.charge_icache(pre.pc);
                         }
                         skip_first = false;
-                        retire_main!(op);
+                        core.exec_pre(pre);
                     }
-                    i += k_ops;
-                } else {
-                    // Budget-truncated window: charge per instruction,
-                    // in program order, exactly as the interpreter
-                    // would.
-                    for op in &ops[i..n] {
-                        if let Some(pre) = &op.pre {
-                            core.charge_fetch(asid, pre.pc);
-                            core.cycle_millis += core.cfg.penalties.base_milli_cycles;
-                            core.breakdown_millis[Cause::Base as usize] +=
-                                core.cfg.penalties.base_milli_cycles;
-                            core.exec_pre(pre);
+                    if !folded && !skip_first {
+                        core.charge_icache(op.pc);
+                    }
+                    skip_first = false;
+                    let exec = match core.exec_op(shared, asid, op.pc, op.fall, op.op) {
+                        Ok(e) => e,
+                        Err(source) => {
+                            core.pc = op.pc;
+                            return Err(CpuError { pc: op.pc, source });
                         }
-                        core.charge_fetch(asid, op.pc);
-                        core.cycle_millis += core.cfg.penalties.base_milli_cycles;
-                        core.breakdown_millis[Cause::Base as usize] +=
-                            core.cfg.penalties.base_milli_cycles;
-                        retire_main!(op);
-                    }
-                    i = n;
+                    };
+                    core.retire(shared, &mut others, asid, op.in_plt, op.role, &exec);
+                    next_pc = exec.next_pc;
                 }
+                i = end;
             }
             core.pc = next_pc;
             // Run bookkeeping between blocks, as the dispatcher would.
@@ -2438,7 +2215,7 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynlink_isa::{AluOp, Cond, HostFnId};
+    use dynlink_isa::{AluOp, Cond, HostFnId, Operand};
 
     const TEXT: u64 = 0x40_0000;
     const PLT: u64 = 0x41_0000;
@@ -3070,6 +2847,106 @@ mod tests {
             "ARM trampoline skipped {} times",
             c.trampolines_skipped
         );
+    }
+
+    /// A loop of register-only runs (fetch-run windows and fused
+    /// pairs), an ARM-style trampoline call and a store, for the
+    /// budget-cut equivalence test below.
+    fn windowed_program(s: &mut AddressSpace) {
+        let plt0 = VirtAddr::new(PLT);
+        let got0 = VirtAddr::new(GOT + 16);
+        let func = VirtAddr::new(FUNC);
+        let i0 = Inst::mov_imm(Reg::R2, 40);
+        let loop_pc = VirtAddr::new(TEXT) + i0.encoded_len();
+        place(
+            s,
+            &[
+                i0,
+                Inst::mov_imm(Reg::R3, 1),
+                Inst::add_imm(Reg::R3, 2),
+                Inst::add_reg(Reg::R4, Reg::R3),
+                Inst::Nop,
+                Inst::add_imm(Reg::R5, 3),
+                Inst::CallDirect { target: plt0 },
+                Inst::sub_imm(Reg::R2, 1),
+                Inst::BranchCond {
+                    cond: Cond::Ne,
+                    lhs: Reg::R2,
+                    rhs: Operand::Imm(0),
+                    target: loop_pc,
+                },
+                Inst::Halt,
+            ],
+        );
+        let scratch_add = Inst::Alu {
+            op: AluOp::Add,
+            dst: Reg::SCRATCH,
+            src: Operand::Imm(0),
+        };
+        s.place_code(plt0, scratch_add).unwrap();
+        s.place_code(plt0 + 4, scratch_add).unwrap();
+        s.place_code(
+            plt0 + 8,
+            Inst::JmpIndirectMem {
+                mem: MemRef::Abs(got0),
+            },
+        )
+        .unwrap();
+        s.write_u64(got0, func.as_u64()).unwrap();
+        let mut at = func;
+        for inst in [
+            Inst::add_imm(Reg::R0, 1),
+            Inst::Store {
+                src: Reg::R0,
+                mem: MemRef::Abs(VirtAddr::new(GOT + 64)),
+            },
+            Inst::Ret,
+        ] {
+            s.place_code(at, inst).unwrap();
+            at += inst.encoded_len();
+        }
+    }
+
+    /// Budget cuts can land inside a fetch-run window or in front of a
+    /// fused pair, where the engine charges and retires differently
+    /// from a whole block. Run in slices of 1, 2, 3 and 5 instructions,
+    /// the engine must leave exactly the interpreter's state, counters
+    /// and cycle breakdown after every slice.
+    #[test]
+    fn engine_matches_interpreter_under_budget_cuts() {
+        for slice in [1, 2, 3, 5] {
+            let build = |superblock| {
+                let mut s = space();
+                windowed_program(&mut s);
+                let mut m = machine_with(
+                    MachineConfig {
+                        superblock,
+                        ..MachineConfig::enhanced()
+                    },
+                    s,
+                );
+                m.set_plt_ranges(&[(VirtAddr::new(PLT), VirtAddr::new(PLT + 0x1000))]);
+                m
+            };
+            let (mut engine, mut interp) = (build(true), build(false));
+            while !interp.halted() {
+                engine.run(slice).unwrap();
+                interp.run(slice).unwrap();
+                let at = interp.counters().instructions;
+                assert_eq!(
+                    engine.counters(),
+                    interp.counters(),
+                    "slice {slice} at {at}"
+                );
+                assert_eq!(engine.cycle_breakdown(), interp.cycle_breakdown());
+                assert_eq!(engine.pc(), interp.pc(), "slice {slice} at {at}");
+                for r in [Reg::R0, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::SCRATCH] {
+                    assert_eq!(engine.reg(r), interp.reg(r));
+                }
+            }
+            assert!(engine.halted());
+            assert!(engine.counters().trampolines_skipped > 0, "slice {slice}");
+        }
     }
 
     #[test]

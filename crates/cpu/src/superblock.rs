@@ -1,11 +1,14 @@
 //! Superblock translation: the direct-threaded micro-op IR behind the
 //! translated-block execution engine.
 //!
-//! The interpreter (`Machine::step_one`) pays a fixed tax on every
-//! retired instruction: revalidate the predecoded page, bounds-check
-//! the slot, match on [`Inst`] (re-deriving the fall-through pc and
-//! the retire-stage pattern predicates each time), and re-check run
-//! bookkeeping that cannot change mid-straight-line-run. The
+//! There is one instruction semantics: [`lower`] turns an [`Inst`] into
+//! a [`MicroOp`], `Core::exec_op` executes it and `Core::retire`
+//! retires it, whether it came from a translated block or from the
+//! interpreter. The interpreter (`Machine::step_one`) is the one-op
+//! case: it fetches, lowers, executes and retires one instruction at a
+//! time, paying per instruction for the predecoded-page revalidation,
+//! the lowering, the fall-through pc, the pattern role ([`Role::of`])
+//! and run bookkeeping that cannot change mid-straight-line-run. The
 //! superblock engine pays that tax once, at translation time: a hot
 //! straight-line region — a run of instructions ending at a control
 //! transfer, a [`Mark`](Inst::Mark), a host call or the page boundary —
@@ -16,14 +19,17 @@
 //! their successors through a per-block memo so steady-state dispatch
 //! never touches a hash table.
 //!
-//! **Everything architectural is preserved.** Each micro-op performs
-//! the same fetch/data charging, counter updates, predictor/ABTB
-//! traffic, bus broadcasts and mark recording as the interpreted
-//! instruction, in the same order; faults stop the block with the pc
-//! parked on the faulting instruction exactly as `step_one` would
-//! leave it. The differential-test oracle digests are bit-identical
-//! with the engine on or off (`difftest --no-superblock` is the
-//! scriptable A/B switch).
+//! **Everything architectural is preserved.** Each micro-op runs
+//! through the interpreter's own executor and retire stage (a fused
+//! register-only pre-op through `Core::exec_pre`, a copy of the five
+//! register arms kept for speed), after the same fetch charges in the
+//! same order (folded per fetch-run window only where the outcome is
+//! fixed); faults stop the block with the pc parked on the faulting
+//! instruction exactly as `step_one` would leave it. What the engine
+//! adds — translation, fusion, fetch-run folding and chaining — is
+//! what the engine-equality checks test: the differential-test oracle
+//! digests and the system-side folds are bit-identical with the engine
+//! on or off (`difftest --no-superblock` is the scriptable A/B switch).
 //!
 //! **Invalidation discipline.** A block is tagged with the space
 //! [`uid`](dynlink_mem::AddressSpace::uid), the
@@ -52,7 +58,7 @@
 
 use std::collections::HashMap;
 
-use dynlink_isa::{AluOp, Cond, Inst, MemRef, Reg, VirtAddr};
+use dynlink_isa::{AluOp, Cond, HostFnId, Inst, MemRef, Reg, VirtAddr};
 
 /// Upper bound on micro-ops per block. Straight-line runs in linked
 /// code are short (a PLT slot is two instructions); the cap only
@@ -60,10 +66,11 @@ use dynlink_isa::{AluOp, Cond, Inst, MemRef, Reg, VirtAddr};
 /// than the cap simply continues in the successor block.
 pub(crate) const MAX_BLOCK_OPS: usize = 64;
 
-/// Retire-stage pattern role of a micro-op, precomputed at translation
-/// time so the in-block retire stage never re-derives the `Inst`
-/// predicate chain (`is_call`/`is_mem_indirect_jump`/`written_reg`…)
-/// per retired instruction.
+/// Retire-stage pattern role of an instruction, the one input the ABTB
+/// trainer (`Core::train_role`) needs from it. Block ops carry it
+/// precomputed at translation time, so the in-block retire stage never
+/// re-derives the `Inst` predicate chain; the interpreter derives it
+/// per step with [`Role::of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Role {
     /// Any call: arms the trampoline-pattern detector.
@@ -79,7 +86,10 @@ pub(crate) enum Role {
 }
 
 impl Role {
-    fn of(inst: &Inst) -> Role {
+    /// Classifies `inst` through the `Inst` predicate chain
+    /// (`is_call`/`is_mem_indirect_jump`/`written_reg`…).
+    #[inline]
+    pub(crate) fn of(inst: &Inst) -> Role {
         if inst.is_call() {
             Role::Call
         } else if inst.is_mem_indirect_jump() {
@@ -300,11 +310,14 @@ pub(crate) fn assign_fetch_runs(ops: &mut [SbOp], line_bytes: u64, page_bytes: u
     }
 }
 
-/// Classifies `inst` for translation: `Ok((op, terminal))` for a
-/// translatable instruction, `Err(())` for a host call, which never
-/// enters a block (it needs the interpreter's split-borrow callback
-/// path and its serializing semantics).
-fn lower(inst: Inst) -> Result<(MicroOp, bool), ()> {
+/// Lowers `inst` to its micro-op: `Ok((op, terminal))` for every
+/// instruction but a host call, whose function id comes back as `Err`.
+/// Host calls never enter a block (they need the interpreter's
+/// split-borrow callback path and its serializing semantics), so the
+/// interpreter dispatches on this result and the translator stops at
+/// an `Err`.
+#[inline]
+pub(crate) fn lower(inst: Inst) -> Result<(MicroOp, bool), HostFnId> {
     use dynlink_isa::Operand;
     let op = match inst {
         Inst::Alu { op, dst, src } => match src {
@@ -347,7 +360,7 @@ fn lower(inst: Inst) -> Result<(MicroOp, bool), ()> {
         Inst::Ret => MicroOp::Ret,
         Inst::Halt => MicroOp::Halt,
         Inst::Mark { id } => MicroOp::Mark { id },
-        Inst::HostCall { .. } => return Err(()),
+        Inst::HostCall { id } => return Err(id),
     };
     let terminal = matches!(
         op,
@@ -551,10 +564,11 @@ mod tests {
         .unwrap();
         assert!(matches!(op, MicroOp::BranchRI { imm: 9, .. }));
         assert!(term);
-        assert!(lower(Inst::HostCall {
-            id: dynlink_isa::HostFnId(0)
-        })
-        .is_err());
+        assert_eq!(
+            lower(Inst::HostCall { id: HostFnId(4) }).err(),
+            Some(HostFnId(4)),
+            "a host call lowers to its function id"
+        );
     }
 
     #[test]
@@ -589,14 +603,7 @@ mod tests {
         let (op, _) = translate_op(Inst::mov_imm(Reg::R0, 1), pc, true).unwrap();
         assert_eq!(op.fall, pc + 7);
         assert!(op.in_plt);
-        assert!(translate_op(
-            Inst::HostCall {
-                id: dynlink_isa::HostFnId(1)
-            },
-            pc,
-            false
-        )
-        .is_none());
+        assert!(translate_op(Inst::HostCall { id: HostFnId(1) }, pc, false).is_none());
     }
 
     #[test]
